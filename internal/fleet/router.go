@@ -863,13 +863,18 @@ func (r *Router) finishLocked(j *rjob, state serve.JobState, result json.RawMess
 	close(j.done)
 }
 
-// finish is finishLocked plus the observability tail: sojourn
-// histogram, cache fill, lifecycle span, log line.
+// finish is finishLocked plus the cache fill and the observability
+// tail: sojourn histogram, lifecycle span, log line.
 func (r *Router) finish(j *rjob, state serve.JobState, result json.RawMessage, errMsg string) {
 	r.mu.Lock()
 	if j.state.Terminal() {
 		r.mu.Unlock()
 		return
+	}
+	// Fill the cache before finishLocked wakes the job's waiters, so a
+	// client that resubmits the spec as soon as its wait returns hits it.
+	if state == serve.JobDone && r.cache != nil && len(result) > 0 {
+		r.cache.Put(j.key, result)
 	}
 	r.finishLocked(j, state, result, errMsg)
 	st := j.status()
@@ -877,9 +882,6 @@ func (r *Router) finish(j *rjob, state serve.JobState, result json.RawMessage, e
 
 	if !j.cacheHit {
 		r.sojourn.Observe(j.finished.Sub(j.submitted))
-	}
-	if state == serve.JobDone && r.cache != nil && len(result) > 0 {
-		r.cache.Put(j.key, result)
 	}
 	r.journalComplete(j)
 	if j.sampled {

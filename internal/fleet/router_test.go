@@ -212,6 +212,29 @@ func TestRouterCacheHit(t *testing.T) {
 	}
 }
 
+// TestRouterCacheFilledBeforeWake pins the order of a job's finish: the
+// result is in the cache before the job's waiters wake, so a client that
+// resubmits the spec the moment its wait returns gets a cache hit.
+func TestRouterCacheFilledBeforeWake(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	r := newTestRouter(t, fastRouterCfg(h.urls))
+	for i := 0; i < 200; i++ {
+		req := serve.JobRequest{Workload: "matmul2d", N: 3, Seed: int64(i + 1)}
+		st, err := r.Submit(req)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		waitRouterDone(t, r, st.ID)
+		again, err := r.Submit(req)
+		if err != nil {
+			t.Fatalf("resubmit %d: %v", i, err)
+		}
+		if !again.CacheHit {
+			t.Fatalf("try %d: immediate resubmission missed the cache", i)
+		}
+	}
+}
+
 // TestRouterResultMatchesSingleNode pins the determinism contract the
 // whole fleet design rests on: a routed result is byte-identical (after
 // JSON compaction) to a single-node run of the same spec through a real

@@ -2,7 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // coarsening contracts pairs of heavily connected vertices, producing a
@@ -63,7 +63,7 @@ func match(h *Hypergraph, rng *rand.Rand) (partner []int32, coarse int, ops int6
 		best := int32(-1)
 		bestScore := 0.0
 		// Deterministic iteration: sort candidates ascending.
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+		slices.Sort(cands)
 		for _, u := range cands {
 			s := score[u]
 			// Prefer lighter partners on ties to keep weights balanced.
@@ -123,7 +123,7 @@ func contract(h *Hypergraph, partner []int32) (coarseH *Hypergraph, fine2coarse 
 			buf = append(buf, fine2coarse[p])
 		}
 		ops += int64(len(net))
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		slices.Sort(buf)
 		uniq := buf[:0]
 		for i, p := range buf {
 			if i == 0 || p != buf[i-1] {

@@ -120,22 +120,26 @@ func (h *Hypergraph) Incidence(v int) []int32 {
 	return h.incidence[v]
 }
 
+// buildIncidence builds the vertex -> nets index and publishes it only
+// when complete. The lazy build is not safe for concurrent callers;
+// Partition builds the index before it fans V-cycles out.
 func (h *Hypergraph) buildIncidence() {
-	h.incidence = make([][]int32, len(h.vertexWeights))
+	inc := make([][]int32, len(h.vertexWeights))
 	deg := make([]int, len(h.vertexWeights))
 	for _, net := range h.nets {
 		for _, p := range net {
 			deg[p]++
 		}
 	}
-	for v := range h.incidence {
-		h.incidence[v] = make([]int32, 0, deg[v])
+	for v := range inc {
+		inc[v] = make([]int32, 0, deg[v])
 	}
 	for n, net := range h.nets {
 		for _, p := range net {
-			h.incidence[p] = append(h.incidence[p], int32(n))
+			inc[p] = append(inc[p], int32(n))
 		}
 	}
+	h.incidence = inc
 }
 
 // Cut returns the total weight of nets spanning more than one part under

@@ -77,6 +77,10 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 	if cfg.K == 1 {
 		return part, Stats{}, nil
 	}
+	if h.incidence == nil {
+		// The cycles share h and read its incidence concurrently.
+		h.buildIncidence()
+	}
 	var stats Stats
 	// Each V-cycle is an independent multilevel run with its own RNG
 	// stream; runCycle is the unit both the sequential and the parallel
@@ -120,6 +124,13 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 		if workers > cfg.VCycles {
 			workers = cfg.VCycles
 		}
+		// A panicking cycle is re-raised here, on the caller's
+		// goroutine, where the caller's recover can see it.
+		panics := make([]any, cfg.VCycles)
+		run := func(cycle int) {
+			defer func() { panics[cycle] = recover() }()
+			parts[cycle], objs[cycle], opsPer[cycle] = runCycle(cycle)
+		}
 		var wg sync.WaitGroup
 		jobs := make(chan int)
 		for w := 0; w < workers; w++ {
@@ -127,7 +138,7 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 			go func() {
 				defer wg.Done()
 				for cycle := range jobs {
-					parts[cycle], objs[cycle], opsPer[cycle] = runCycle(cycle)
+					run(cycle)
 				}
 			}()
 		}
@@ -136,6 +147,11 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 		}
 		close(jobs)
 		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	} else {
 		for cycle := 0; cycle < cfg.VCycles; cycle++ {
 			parts[cycle], objs[cycle], opsPer[cycle] = runCycle(cycle)
@@ -164,6 +180,9 @@ func recursiveBisect(h *Hypergraph, ids []int32, k, firstLabel int, cfg Config, 
 			out[v] = firstLabel
 		}
 		return 0
+	}
+	if len(ids) == 0 {
+		return 0 // fewer vertices than parts: nothing to split
 	}
 	sub, subIDs := induce(h, ids)
 	k0 := (k + 1) / 2

@@ -1,5 +1,7 @@
 package hypergraph
 
+import "slices"
+
 // bisection holds the mutable state of a 2-way partition under refinement.
 type bisection struct {
 	h     *Hypergraph
@@ -7,6 +9,12 @@ type bisection struct {
 	partW [2]int64   // current side weights
 	maxW  [2]int64   // balance caps
 	pins  [][2]int32 // per net: pins on each side
+
+	// fmPass state, sized on the first pass and reused by later ones.
+	gains  []int64 // exact gain of moving each unlocked vertex
+	locked []bool
+	moves  []int32
+	heap   passHeap
 }
 
 func newBisection(h *Hypergraph, part []int, maxW [2]int64) *bisection {
@@ -41,7 +49,15 @@ func (b *bisection) gain(v int) int64 {
 	return g
 }
 
-// move transfers v to the other side, updating side weights and pin counts.
+// move transfers v to the other side, updating side weights, pin counts
+// and, while an FM pass keeps gains, the gains of the other pins (v's
+// own entry goes stale: a moved vertex is locked for the rest of the
+// pass).
+//
+// A move from side F to side T changes another pin's gain only on a
+// critical net, one where before the move F holds at most two pins or T
+// at most one: the net turns cut (T was empty), a pin becomes or stops
+// being the last one of its side, or F empties.
 func (b *bisection) move(v int) {
 	from := b.part[v]
 	to := 1 - from
@@ -50,8 +66,34 @@ func (b *bisection) move(v int) {
 	b.partW[from] -= w
 	b.partW[to] += w
 	for _, ni := range b.h.Incidence(v) {
-		b.pins[ni][from]--
-		b.pins[ni][to]++
+		pins := &b.pins[ni]
+		nf, nt := pins[from], pins[to]
+		pins[from]--
+		pins[to]++
+		if b.gains == nil || (nf > 2 && nt > 1) {
+			continue
+		}
+		nw := b.h.netWeights[ni]
+		var dFrom, dTo int64
+		if nt == 0 {
+			dFrom += nw // moving a from pin no longer cuts the net
+		}
+		if nf == 2 {
+			dFrom += nw // the other from pin is now the last one
+		}
+		if nt == 1 {
+			dTo -= nw // the to pin is no longer the last one
+		}
+		if nf == 1 {
+			dTo -= nw // F empties: moving a to pin would cut the net
+		}
+		for _, u := range b.h.nets[ni] {
+			if b.part[u] == from {
+				b.gains[u] += dFrom
+			} else {
+				b.gains[u] += dTo
+			}
+		}
 	}
 }
 
@@ -72,9 +114,19 @@ func (b *bisection) feasible() bool {
 // rebalance greedily moves vertices out of an overweight side, choosing
 // at each step the vertex whose move loses the least cut, until both
 // sides respect their caps (or no move can help). Returns ops performed.
+//
+// Each step depends on the partition alone, so a partition seen before
+// means the moves cycle forever (two vertices can overload the other
+// side in turn). Brent's cycle detection stops that with one saved
+// partition, compared after each move.
 func (b *bisection) rebalance() int64 {
 	var ops int64
+	var saved []int
+	power, steps := 1, 0
 	for !b.feasible() {
+		if saved == nil {
+			saved = slices.Clone(b.part)
+		}
 		from := 0
 		if b.partW[1] > b.maxW[1] {
 			from = 1
@@ -101,151 +153,208 @@ func (b *bisection) rebalance() int64 {
 		}
 		b.move(best)
 		ops += int64(len(b.h.Incidence(best)))
+		if slices.Equal(b.part, saved) {
+			return ops
+		}
+		if steps++; steps == power {
+			copy(saved, b.part)
+			power, steps = 2*power, 0
+		}
 	}
 	return ops
 }
 
-// gainEntry is a lazily invalidated max-heap entry of the FM pass.
-type gainEntry struct {
-	gain int64
-	v    int
-	gen  int32
+// passHeap is an addressable 4-ary max-heap holding at most one entry
+// per vertex, ordered by key descending and vertex ascending on ties.
+// The order is total (vertices are distinct), so the pop sequence does
+// not depend on the heap's shape.
+type passHeap struct {
+	a   []int32 // heap array of vertices
+	pos []int32 // heap index of each vertex, -1 when absent
+	key []int64 // key of each vertex while present
 }
 
-// before orders entries best-gain-first, vertex index ascending on ties.
-// Entries can collide only as stale duplicates of the same vertex (same
-// gain, same v, older gen); those pop adjacently under any heap shape and
-// the gen check skips all but the live one, so the applied-move sequence
-// is independent of the heap arity.
-func (a gainEntry) before(o gainEntry) bool {
-	if a.gain != o.gain {
-		return a.gain > o.gain
+func (q *passHeap) before(u, v int32) bool {
+	if q.key[u] != q.key[v] {
+		return q.key[u] > q.key[v]
 	}
-	return a.v < o.v
+	return u < v
 }
 
-// gainHeap is a 4-ary max-heap of gain entries. Like the simulator's
-// event queue it avoids container/heap: Push(any)/Pop() any box every
-// entry, and the FM inner loop pushes one entry per refreshed neighbor.
-type gainHeap struct {
-	a []gainEntry
-}
-
-func (h *gainHeap) len() int { return len(h.a) }
-
-func (h *gainHeap) push(e gainEntry) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
+func (q *passHeap) up(i int) {
+	v := q.a[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !h.a[i].before(h.a[p]) {
+		pv := q.a[p]
+		if !q.before(v, pv) {
 			break
 		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
+		q.a[i], q.pos[pv] = pv, int32(i)
 		i = p
 	}
+	q.a[i], q.pos[v] = v, int32(i)
 }
 
-func (h *gainHeap) pop() gainEntry {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a = h.a[:n]
-	i := 0
+func (q *passHeap) down(i int) {
+	n := len(q.a)
+	v := q.a[i]
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.a[c].before(h.a[best]) {
+		for c := first + 1; c < min(first+4, n); c++ {
+			if q.before(q.a[c], q.a[best]) {
 				best = c
 			}
 		}
-		if !h.a[best].before(h.a[i]) {
+		bv := q.a[best]
+		if !q.before(bv, v) {
 			break
 		}
-		h.a[i], h.a[best] = h.a[best], h.a[i]
+		q.a[i], q.pos[bv] = bv, int32(i)
 		i = best
 	}
-	return top
+	q.a[i], q.pos[v] = v, int32(i)
+}
+
+// set gives v the key k, inserting v if it is absent.
+func (q *passHeap) set(v int32, k int64) {
+	i := int(q.pos[v])
+	if i < 0 {
+		q.key[v] = k
+		q.a = append(q.a, v)
+		q.up(len(q.a) - 1)
+		return
+	}
+	old := q.key[v]
+	q.key[v] = k
+	if k > old {
+		q.up(i)
+	} else if k < old {
+		q.down(i)
+	}
+}
+
+func (q *passHeap) pop() int32 {
+	v := q.a[0]
+	q.pos[v] = -1
+	last := len(q.a) - 1
+	q.a[0] = q.a[last]
+	q.a = q.a[:last]
+	if last > 0 {
+		q.down(0)
+	}
+	return v
+}
+
+// startPass sizes the pass buffers on first use, unlocks every vertex,
+// sets every gain from the pin counts and puts every vertex in the heap.
+func (b *bisection) startPass() {
+	n := b.h.NumVertices()
+	if b.gains == nil {
+		b.gains = make([]int64, n)
+		b.locked = make([]bool, n)
+		b.heap = passHeap{a: make([]int32, 0, n), pos: make([]int32, n), key: make([]int64, n)}
+		for v := range b.heap.pos {
+			b.heap.pos[v] = -1 // a pass ends with the heap empty
+		}
+	}
+	clear(b.gains)
+	clear(b.locked)
+	b.moves = b.moves[:0]
+	for ni, net := range b.h.nets {
+		w := b.h.netWeights[ni]
+		pins := b.pins[ni]
+		for _, u := range net {
+			s := b.part[u]
+			if pins[s] == 1 {
+				b.gains[u] += w
+			}
+			if pins[1-s] == 0 {
+				b.gains[u] -= w
+			}
+		}
+	}
+	for v, g := range b.gains {
+		b.heap.set(int32(v), g)
+	}
 }
 
 // fmPass runs one Fiduccia–Mattheyses pass: vertices are tentatively moved
 // in best-gain-first order under the balance caps, each at most once, and
 // the best prefix of the move sequence is kept. Returns the cut
-// improvement of the pass and the ops performed.
+// improvement of the pass and the ops charged for it.
+//
+// Every unlocked vertex has at most one heap entry, and gains are kept
+// exact by delta updates on critical nets. The move order and the ops are
+// those of a pass that recomputes gains from scratch, including three of
+// its rules:
+//   - a popped vertex that the balance cap forbids to move leaves the
+//     heap until a later move refreshes it;
+//   - a move refreshes the key of the unlocked pins of its nets with at
+//     most maxNetSizeForMatching pins only; a vertex reached only through
+//     bigger nets keeps its old key, but its move applies its exact gain;
+//   - ops charge the pin traversals of those recomputations: the degree
+//     of every vertex at the start, the mover's degree per move, and the
+//     degree of each refreshed pin once per small net it shares with the
+//     mover.
 func (b *bisection) fmPass() (improved int64, ops int64) {
-	n := b.h.NumVertices()
-	locked := make([]bool, n)
-	gen := make([]int32, n)
-	gh := gainHeap{a: make([]gainEntry, 0, n)}
-	for v := 0; v < n; v++ {
-		gh.push(gainEntry{gain: b.gain(v), v: v})
-		ops += int64(len(b.h.Incidence(v)))
-	}
-
-	type moveRec struct{ v int }
-	var moves []moveRec
+	b.startPass()
+	ops = int64(b.h.NumPins())
 	var cum, bestCum int64
 	bestIdx := 0 // number of moves of the best prefix
 
-	for gh.len() > 0 {
-		e := gh.pop()
-		if locked[e.v] || e.gen != gen[e.v] {
-			continue
+	for len(b.heap.a) > 0 {
+		v := b.heap.pop()
+		to := 1 - b.part[v]
+		if b.partW[to]+b.h.VertexWeight(int(v)) > b.maxW[to] {
+			continue // cannot move under balance
 		}
-		from := b.part[e.v]
-		to := 1 - from
-		if b.partW[to]+b.h.VertexWeight(e.v) > b.maxW[to] {
-			continue // cannot move under balance; entry consumed
-		}
-		// Entry gains can be stale only in gen, which we checked; but
-		// recompute defensively to keep the pass exact.
-		g := b.gain(e.v)
-		ops += int64(len(b.h.Incidence(e.v)))
-		b.move(e.v)
-		locked[e.v] = true
-		cum += g
-		moves = append(moves, moveRec{v: e.v})
+		inc := b.h.Incidence(int(v))
+		ops += int64(len(inc))
+		cum += b.gains[v]
+		b.locked[v] = true
+		b.move(int(v))
+		b.moves = append(b.moves, v)
 		if cum > bestCum {
 			bestCum = cum
-			bestIdx = len(moves)
+			bestIdx = len(b.moves)
 		}
-		// Refresh neighbors whose gain may have changed.
-		for _, ni := range b.h.Incidence(e.v) {
-			net := b.h.Net(int(ni))
+		for _, ni := range inc {
+			net := b.h.nets[ni]
 			if len(net) > maxNetSizeForMatching {
 				continue
 			}
 			for _, u := range net {
-				if !locked[u] {
-					gen[u]++
-					ng := b.gain(int(u))
+				if !b.locked[u] {
 					ops += int64(len(b.h.Incidence(int(u))))
-					gh.push(gainEntry{gain: ng, v: int(u), gen: gen[u]})
+					b.heap.set(u, b.gains[u])
 				}
 			}
 		}
 	}
-	// Roll back moves beyond the best prefix.
-	for i := len(moves) - 1; i >= bestIdx; i-- {
-		b.move(moves[i].v)
+	// Roll back moves beyond the best prefix. The next pass recomputes
+	// every gain, so the rollback skips their upkeep.
+	gains := b.gains
+	b.gains = nil
+	for i := len(b.moves) - 1; i >= bestIdx; i-- {
+		b.move(int(b.moves[i]))
 	}
+	b.gains = gains
 	return bestCum, ops
 }
+
+// runPass is the pass refine runs; tests swap in the reference pass.
+var runPass = (*bisection).fmPass
 
 // refine runs FM passes until a pass yields no improvement, up to
 // maxPasses, after an initial rebalance. Returns ops performed.
 func (b *bisection) refine(maxPasses int) int64 {
 	ops := b.rebalance()
 	for i := 0; i < maxPasses; i++ {
-		improved, passOps := b.fmPass()
+		improved, passOps := runPass(b)
 		ops += passOps
 		if improved <= 0 {
 			break
